@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: verify fmt-check vet lint lint-test escape-gate build test race bench-smoke bench bench-compare certify certify-smoke loadtest loadtest-cluster fuzz fuzz-corpus fmt serve cover nofaultinject
+.PHONY: verify fmt-check vet lint lint-test escape-gate build test race servebench-check bench-smoke bench bench-compare certify certify-smoke loadtest loadtest-cluster fuzz fuzz-corpus fmt serve cover nofaultinject
 
-verify: fmt-check vet lint lint-test escape-gate build test race certify-smoke loadtest loadtest-cluster bench-smoke
+verify: fmt-check vet lint lint-test escape-gate build test race servebench-check certify-smoke loadtest loadtest-cluster bench-smoke
 	@echo "verify: all checks passed"
 
 fmt-check:
@@ -44,6 +44,12 @@ test:
 race:
 	$(GO) test -race -short ./...
 
+# The served-path benchmark is a nested module (servebench/go.mod) that
+# `./...` never reaches; build, vet and test it against the library here
+# so an API change cannot break the benchmark unseen.
+servebench-check:
+	cd servebench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
+
 # The production configuration: the failpoint registry compiled to
 # no-ops. Chaos tests skip themselves via faultinject.Available().
 nofaultinject:
@@ -54,7 +60,7 @@ nofaultinject:
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# Measured CPU throughput (alg × lanes × workers) as machine-readable
+# Measured CPU throughput (alg × workers, 64 lanes) as machine-readable
 # JSON. BENCH_MINTIME trades accuracy for runtime.
 BENCH_MINTIME ?= 1s
 bench:

@@ -177,25 +177,21 @@ func BenchmarkCRCNaiveVsBitsliced(b *testing.B) {
 }
 
 // E9 — measured CPU throughput of every generator (the honest CPU-port
-// numbers; cmd/experiments -exp cpu prints them as a table). Every
-// engine runs at each supported lane width; the bytes are identical, so
-// the spread is pure datapath-width effect.
+// numbers; cmd/experiments -exp cpu prints them as a table).
 func BenchmarkCPUThroughput(b *testing.B) {
 	for _, alg := range Algorithms {
-		for _, lanes := range SupportedLanes {
-			b.Run(alg.String()+"-bitsliced-"+benchName("lanes", lanes), func(b *testing.B) {
-				g, err := NewWithLanes(alg, 1, lanes)
-				if err != nil {
-					b.Fatal(err)
-				}
-				buf := make([]byte, 64<<10)
-				b.SetBytes(int64(len(buf)))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					g.Read(buf)
-				}
-			})
-		}
+		b.Run(alg.String()+"-bitsliced", func(b *testing.B) {
+			g, err := New(alg, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf := make([]byte, 64<<10)
+			b.SetBytes(int64(len(buf)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.Read(buf)
+			}
+		})
 	}
 	b.Run("mickey-naive", func(b *testing.B) {
 		key := make([]byte, mickey.KeySize)
@@ -249,9 +245,8 @@ func BenchmarkStagingAblation(b *testing.B) {
 	}
 }
 
-// benchGrainVec measures the raw Grain datapath at one Vec width: a
-// lock-step keystream block with no segment rekeying, so the number is
-// the pure cost of widening the plane words.
+// benchGrainVec measures the raw Grain datapath: a lock-step keystream
+// block with no segment rekeying.
 func benchGrainVec[V bitslice.Vec](b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	lanes := bitslice.VecLanes[V]()
@@ -275,16 +270,12 @@ func benchGrainVec[V bitslice.Vec](b *testing.B) {
 	}
 }
 
-// Ablation — lane width. Part one: the generalized Vec datapath at
-// 64/256/512 lanes on the Grain engine (wider planes amortize loop
-// overhead; the acceptance bar is 256 lanes ≥ the 64-lane baseline in
-// bytes/s). Part two: the original degree-64 LFSR comparison of 64-lane
-// uint64 planes vs 32-lane uint32 planes (the paper's single-precision
-// registers).
+// Ablation — lane width. Part one: the raw 64-lane Grain datapath. Part
+// two: the paper's 32-vs-64-lane comparison, a degree-64 LFSR on
+// 64-lane uint64 planes vs 32-lane uint32 planes (the paper's
+// single-precision registers).
 func BenchmarkLaneWidth(b *testing.B) {
 	b.Run("grain-64-lanes", benchGrainVec[bitslice.V64])
-	b.Run("grain-256-lanes", benchGrainVec[bitslice.V256])
-	b.Run("grain-512-lanes", benchGrainVec[bitslice.V512])
 
 	exps, _ := lfsr.Primitive(64)
 	rng := rand.New(rand.NewSource(7))

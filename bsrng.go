@@ -77,29 +77,13 @@ var ServedAlgorithms = core.ServedAlgorithms
 // "trivium", "xorgens" or "chaotic(<name>)" to an Algorithm.
 func ParseAlgorithm(s string) (Algorithm, error) { return core.ParseAlgorithm(s) }
 
-// DefaultLanes is the engine datapath width used when none is chosen:
-// the native 64-lane uint64 datapath.
-const DefaultLanes = core.DefaultLanes
-
-// SupportedLanes lists the valid engine lane widths (64, 256 and 512).
-// The emitted byte stream is identical at every width — lane count only
-// trades memory and per-pass batch size for instruction-level
-// parallelism.
-var SupportedLanes = core.SupportedLanes
-
-// Generator is a deterministic single-engine generator (a wide-lane
+// Generator is a deterministic single-engine generator (a 64-lane
 // bitsliced cipher bank behind an io.Reader).
 type Generator = core.Generator
 
-// New builds a seeded Generator at the default lane width.
+// New builds a seeded Generator.
 func New(alg Algorithm, seed uint64) (*Generator, error) {
 	return core.NewGenerator(alg, seed)
-}
-
-// NewWithLanes builds a seeded Generator at an explicit lane width
-// (0 = DefaultLanes; see SupportedLanes).
-func NewWithLanes(alg Algorithm, seed uint64, lanes int) (*Generator, error) {
-	return core.NewGeneratorLanes(alg, seed, lanes)
 }
 
 // SegmentBytes is the unit of the canonical segment-addressed stream:
@@ -110,12 +94,11 @@ const SegmentBytes = core.SegmentBytes
 // NewSegmentReader opens the canonical segment stream of (alg, seed,
 // domain) at an absolute byte offset — including mid-segment — and
 // returns a Generator positioned there. The bytes are a pure function
-// of (alg, seed, domain, offset) at every supported lane width, which
-// is what makes bsrngd's addressed /stream windows and lease resume
-// verifiable offline: any holder of the seed can re-derive a served
-// window byte-for-byte.
-func NewSegmentReader(alg Algorithm, seed, domain uint64, lanes int, offset uint64) (*Generator, error) {
-	return core.NewSegmentReader(alg, seed, domain, lanes, offset)
+// of (alg, seed, domain, offset), which is what makes bsrngd's
+// addressed /stream windows and lease resume verifiable offline: any
+// holder of the seed can re-derive a served window byte-for-byte.
+func NewSegmentReader(alg Algorithm, seed, domain, offset uint64) (*Generator, error) {
+	return core.NewSegmentReader(alg, seed, domain, 0, offset)
 }
 
 // Stream is the multi-core generator: one bitsliced engine per worker,
@@ -124,8 +107,8 @@ func NewSegmentReader(alg Algorithm, seed, domain uint64, lanes int, offset uint
 // once, into the writer) or NextChunk/Recycle (zero-copy chunk handoff).
 type Stream = core.Stream
 
-// StreamConfig tunes the Stream (zero values = all CPUs, 64 KiB staging,
-// DefaultLanes-wide engines).
+// StreamConfig tunes the Stream (zero values = all CPUs, 64 KiB
+// staging).
 type StreamConfig = core.StreamConfig
 
 // StreamStats is a snapshot of a Stream's throughput and health
@@ -146,12 +129,6 @@ func NewStream(alg Algorithm, seed uint64, cfg StreamConfig) (*Stream, error) {
 // number of workers (0 = all CPUs).
 func Fill(alg Algorithm, seed uint64, workers int, dst []byte) error {
 	return core.Fill(alg, seed, workers, dst)
-}
-
-// FillLanes is Fill at an explicit lane width (0 = DefaultLanes). The
-// output is identical at every width.
-func FillLanes(alg Algorithm, seed uint64, workers, lanes int, dst []byte) error {
-	return core.FillLanes(alg, seed, workers, lanes, dst)
 }
 
 // HealthConfig sets the cutoffs of the continuous online health tests

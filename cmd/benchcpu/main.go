@@ -1,8 +1,7 @@
 // Command benchcpu measures the sustained CPU throughput of every
-// bitsliced engine at every supported lane width and worker count, and
-// writes the result as machine-readable JSON (the committed
-// BENCH_cpu.json; `make bench` regenerates it and CI uploads it as an
-// artifact).
+// bitsliced engine at every worker count, and writes the result as
+// machine-readable JSON (the committed BENCH_cpu.json; `make bench`
+// regenerates it and CI uploads it as an artifact).
 //
 // Usage:
 //
@@ -22,9 +21,11 @@ import (
 	"repro/internal/core"
 )
 
-// result is one measured cell of the alg × lanes × workers grid.
+// result is one measured cell of the alg × workers grid.
 type result struct {
-	Alg         string  `json:"alg"`
+	Alg string `json:"alg"`
+	// Lanes is always core.DefaultLanes, the only engine width. It stays
+	// in the schema so alg/lanes/workers cell patterns keep matching.
 	Lanes       int     `json:"lanes"`
 	Workers     int     `json:"workers"`
 	Bytes       int64   `json:"bytes"`
@@ -86,16 +87,14 @@ func measure(minTime time.Duration, log io.Writer) (*report, error) {
 	}
 	workerSet := workerSweep(runtime.NumCPU())
 	for _, alg := range core.ServedAlgorithms {
-		for _, lanes := range core.SupportedLanes {
-			for _, workers := range workerSet {
-				r, err := measureCell(alg, lanes, workers, minTime)
-				if err != nil {
-					return nil, err
-				}
-				fmt.Fprintf(log, "benchcpu: %-8s lanes=%-4d workers=%-3d %8.1f MB/s %6.2f allocs/MiB\n",
-					r.Alg, r.Lanes, r.Workers, r.BytesPerSec/1e6, r.AllocsPerMiB)
-				rep.Results = append(rep.Results, r)
+		for _, workers := range workerSet {
+			r, err := measureCell(alg, workers, minTime)
+			if err != nil {
+				return nil, err
 			}
+			fmt.Fprintf(log, "benchcpu: %-8s workers=%-3d %8.1f MB/s %6.2f allocs/MiB\n",
+				r.Alg, r.Workers, r.BytesPerSec/1e6, r.AllocsPerMiB)
+			rep.Results = append(rep.Results, r)
 		}
 	}
 	return rep, nil
@@ -138,8 +137,8 @@ func (b *benchSink) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func measureCell(alg core.Algorithm, lanes, workers int, minTime time.Duration) (result, error) {
-	s, err := core.NewStream(alg, 1, core.StreamConfig{Workers: workers, Lanes: lanes})
+func measureCell(alg core.Algorithm, workers int, minTime time.Duration) (result, error) {
+	s, err := core.NewStream(alg, 1, core.StreamConfig{Workers: workers})
 	if err != nil {
 		return result{}, err
 	}
@@ -162,7 +161,7 @@ func measureCell(alg core.Algorithm, lanes, workers int, minTime time.Duration) 
 	allocs := float64(m1.Mallocs - m0.Mallocs)
 	return result{
 		Alg:          alg.String(),
-		Lanes:        lanes,
+		Lanes:        core.DefaultLanes,
 		Workers:      workers,
 		Bytes:        sink.total,
 		Seconds:      elapsed,

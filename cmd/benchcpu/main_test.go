@@ -8,9 +8,9 @@ import (
 	"repro/internal/core"
 )
 
-// A fast measurement pass must cover the whole alg × lanes × workers
-// grid and report sane numbers — this is the shape contract for the
-// committed BENCH_cpu.json.
+// A fast measurement pass must cover the whole alg × workers grid at the
+// one 64-lane width and report sane numbers — this is the shape
+// contract for the committed BENCH_cpu.json.
 func TestMeasureGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measurement loop")
@@ -19,21 +19,22 @@ func TestMeasureGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCells := len(core.ServedAlgorithms) * len(core.SupportedLanes) * len(workerSweep(rep.NumCPU))
+	wantCells := len(core.ServedAlgorithms) * len(workerSweep(rep.NumCPU))
 	if len(rep.Results) != wantCells {
 		t.Fatalf("got %d cells, want %d", len(rep.Results), wantCells)
 	}
-	seen := map[[3]interface{}]bool{}
+	seen := map[[2]interface{}]bool{}
 	for _, r := range rep.Results {
+		if r.Lanes != core.DefaultLanes {
+			t.Errorf("%s workers=%d: lanes %d, want %d", r.Alg, r.Workers, r.Lanes, core.DefaultLanes)
+		}
 		if r.BytesPerSec <= 0 || r.Bytes <= 0 || r.Seconds <= 0 {
-			t.Errorf("%s lanes=%d workers=%d: non-positive measurement %+v",
-				r.Alg, r.Lanes, r.Workers, r)
+			t.Errorf("%s workers=%d: non-positive measurement %+v", r.Alg, r.Workers, r)
 		}
 		if r.AllocsPerMiB < 0 {
-			t.Errorf("%s lanes=%d workers=%d: negative allocs_per_mib %+v",
-				r.Alg, r.Lanes, r.Workers, r)
+			t.Errorf("%s workers=%d: negative allocs_per_mib %+v", r.Alg, r.Workers, r)
 		}
-		key := [3]interface{}{r.Alg, r.Lanes, r.Workers}
+		key := [2]interface{}{r.Alg, r.Workers}
 		if seen[key] {
 			t.Errorf("duplicate cell %v", key)
 		}

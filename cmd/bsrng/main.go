@@ -23,17 +23,16 @@ func main() {
 	seed := flag.Uint64("seed", 1, "generator seed")
 	n := flag.Int64("n", 1<<20, "number of bytes to generate")
 	workers := flag.Int("workers", 1, "worker engines (>1 uses the parallel stream)")
-	lanes := flag.Int("lanes", 0, "engine lane width: 64, 256 or 512 (0 = 64); output is identical at every width")
 	useHex := flag.Bool("hex", false, "emit lowercase hex instead of raw bytes")
 	flag.Parse()
 
-	if err := run(os.Stdout, *algName, *seed, *n, *workers, *lanes, *useHex); err != nil {
+	if err := run(os.Stdout, *algName, *seed, *n, *workers, *useHex); err != nil {
 		fmt.Fprintln(os.Stderr, "bsrng:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, algName string, seed uint64, n int64, workers, lanes int, useHex bool) error {
+func run(w io.Writer, algName string, seed uint64, n int64, workers int, useHex bool) error {
 	alg, err := bsrng.ParseAlgorithm(algName)
 	if err != nil {
 		return err
@@ -44,14 +43,14 @@ func run(w io.Writer, algName string, seed uint64, n int64, workers, lanes int, 
 
 	var src interface{ Read([]byte) (int, error) }
 	if workers > 1 {
-		s, err := bsrng.NewStream(alg, seed, bsrng.StreamConfig{Workers: workers, Lanes: lanes})
+		s, err := bsrng.NewStream(alg, seed, bsrng.StreamConfig{Workers: workers})
 		if err != nil {
 			return err
 		}
 		defer s.Close()
 		src = s
 	} else {
-		g, err := bsrng.NewWithLanes(alg, seed, lanes)
+		g, err := bsrng.New(alg, seed)
 		if err != nil {
 			return err
 		}

@@ -11,7 +11,7 @@ import (
 
 func TestRunRawMatchesLibrary(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(&out, "grain", 5, 1000, 1, 0, false); err != nil {
+	if err := run(&out, "grain", 5, 1000, 1, false); err != nil {
 		t.Fatal(err)
 	}
 	g, _ := bsrng.New(bsrng.GRAIN, 5)
@@ -24,7 +24,7 @@ func TestRunRawMatchesLibrary(t *testing.T) {
 
 func TestRunHex(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(&out, "mickey", 1, 16, 1, 0, true); err != nil {
+	if err := run(&out, "mickey", 1, 16, 1, true); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -36,30 +36,12 @@ func TestRunHex(t *testing.T) {
 	}
 }
 
-// -lanes changes the engine datapath width, never the bytes.
-func TestRunLaneWidthIndependence(t *testing.T) {
-	var narrow, wide bytes.Buffer
-	if err := run(&narrow, "mickey", 11, 20000, 1, 64, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(&wide, "mickey", 11, 20000, 1, 256, false); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(narrow.Bytes(), wide.Bytes()) {
-		t.Fatal("-lanes 256 output diverges from -lanes 64")
-	}
-	var out bytes.Buffer
-	if err := run(&out, "mickey", 11, 16, 1, 100, false); err == nil {
-		t.Error("invalid lane width accepted")
-	}
-}
-
 func TestRunParallelStreamDeterminism(t *testing.T) {
 	var a, b bytes.Buffer
-	if err := run(&a, "trivium", 9, 100000, 3, 0, false); err != nil {
+	if err := run(&a, "trivium", 9, 100000, 3, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(&b, "trivium", 9, 100000, 3, 0, false); err != nil {
+	if err := run(&b, "trivium", 9, 100000, 3, false); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -89,21 +71,21 @@ func (w *failWriter) Write(p []byte) (int, error) {
 func TestRunReportsFlushError(t *testing.T) {
 	// 1000 bytes fit inside the 1 MiB bufio buffer, so the underlying
 	// write — and its error — happen at Flush.
-	if err := run(&failWriter{limit: 100}, "grain", 5, 1000, 1, 0, false); err == nil {
+	if err := run(&failWriter{limit: 100}, "grain", 5, 1000, 1, false); err == nil {
 		t.Fatal("write error at flush time was swallowed")
 	}
 	// And an error mid-stream (larger than the buffer) is reported too.
-	if err := run(&failWriter{limit: 100}, "grain", 5, 4<<20, 1, 0, false); err == nil {
+	if err := run(&failWriter{limit: 100}, "grain", 5, 4<<20, 1, false); err == nil {
 		t.Fatal("write error mid-stream was swallowed")
 	}
 }
 
 func TestRunErrors(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(&out, "nope", 1, 10, 1, 0, false); err == nil {
+	if err := run(&out, "nope", 1, 10, 1, false); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
-	if err := run(&out, "mickey", 1, -1, 1, 0, false); err == nil {
+	if err := run(&out, "mickey", 1, -1, 1, false); err == nil {
 		t.Error("negative byte count accepted")
 	}
 }

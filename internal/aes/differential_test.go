@@ -8,16 +8,14 @@ import (
 	"repro/internal/bitslice"
 )
 
-// Differential lockdown for the wide-lane datapath: at every supported
-// plane width, every lane of the bitsliced CTR generator must reproduce
-// its scalar CTR stream byte-for-byte, for multiple batches, under
-// distinct per-lane key/nonce material — and again after a Reseed.
+// Differential lockdown for the 64-lane datapath: with every lane in use
+// and with a partial lane count (the lanes < VecLanes mask path), every
+// lane of the bitsliced CTR generator must reproduce its scalar CTR
+// stream byte-for-byte, for multiple batches, under distinct per-lane
+// key/nonce material — and again after a Reseed.
 func TestDifferentialAllWidths(t *testing.T) {
 	t.Run("w64", func(t *testing.T) { diffWidth[bitslice.V64](t, 64) })
-	t.Run("w256", func(t *testing.T) { diffWidth[bitslice.V256](t, 256) })
-	t.Run("w512", func(t *testing.T) { diffWidth[bitslice.V512](t, 512) })
-	t.Run("w256partial", func(t *testing.T) { diffWidth[bitslice.V256](t, 70) })
-	t.Run("w512partial", func(t *testing.T) { diffWidth[bitslice.V512](t, 450) })
+	t.Run("w64partial", func(t *testing.T) { diffWidth[bitslice.V64](t, 37) })
 }
 
 func diffMaterial(rng *rand.Rand, lanes int) (keys, nonces [][]byte) {

@@ -4,8 +4,8 @@ import "repro/internal/bitslice"
 
 // Bitsliced AES round circuits. A byte position is eight V-planes (plane
 // k = bit k of that byte across the lanes); all functions below are
-// straight-line word operations, so one call performs 64·K byte
-// operations at once (K = words per plane).
+// straight-line word operations, so one call performs 64 byte operations
+// at once.
 //
 // The S-box is the fixed Boyar–Peralta forward circuit (their depth-16
 // construction: 128 gates — 34 AND, 94 XOR/XNOR — shared GF(2^4)

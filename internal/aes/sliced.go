@@ -7,12 +7,11 @@ import (
 	"repro/internal/bitslice"
 )
 
-// SlicedVec is the bitsliced AES-128 over the plane width V: the 128-bit
-// state becomes 128 V-planes (plane 8b+k = bit k of state byte b across
-// the lanes), so one EncryptBlocks call performs 64·K independent block
-// encryptions, each lane under its own key. Every plane operation applies
-// independently to each of V's K words, so the wide engine is K
-// lock-stepped 64-lane engines under one control flow.
+// SlicedVec is the bitsliced AES-128 over the plane type V
+// (bitslice.V64, one machine word): the 128-bit state becomes 128
+// V-planes (plane 8b+k = bit k of state byte b across the lanes), so one
+// EncryptBlocks call performs 64 independent block encryptions, each
+// lane under its own key.
 type SlicedVec[V bitslice.Vec] struct {
 	rk    [][128]V // 11 plane-form round keys
 	lanes int

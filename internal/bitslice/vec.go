@@ -1,30 +1,25 @@
 package bitslice
 
-// Wide-lane vector planes. The paper's throughput argument is lane count:
-// one machine word carries one bit of W independent cipher instances
-// (§3, Fig. 10), so widening the word is the CPU analogue of widening a
-// GPU warp. A Vec is that wider word — K native uint64 words glued
-// side-by-side into one 64·K-lane plane. K ∈ {1, 4, 8} gives the 64-,
-// 256- and 512-lane datapaths; every lane-wise operation (XOR/AND/OR)
-// applies independently to each of the K words, so a W-lane engine is
-// structurally K lock-stepped 64-lane engines sharing one control flow.
+// Vector planes. The paper's throughput argument is lane count: one
+// machine word carries one bit of W independent cipher instances (§3,
+// Fig. 10). On the CPU that word is one native uint64 — 64 lanes, two
+// 32-lane CUDA registers — and further parallelism comes from running
+// many independent engines on many workers, as the paper runs one
+// engine per CUDA thread (see DESIGN.md §7). Wider [K]uint64 planes
+// emitted the same bytes but lost to 64 lanes on every measured family,
+// because Go's compiler does not vectorize them, so they were removed.
 //
-// Lane numbering: lane L lives in word L/64 at bit L%64. All Vec
-// helpers below follow that convention, and the plain uint64 helpers in
-// bitslice.go are exactly the K=1 case.
+// The engines stay generic over Vec so their kernels compile exactly as
+// before; Vec has one member, V64. Lane numbering: lane L lives in word
+// L/64 at bit L%64, and the plain uint64 helpers in bitslice.go are the
+// same operations on a bare word.
 
 // V64 is the native single-word plane: 64 lanes.
 type V64 [1]uint64
 
-// V256 is the quad-word plane: 256 lanes (the AVX2-width datapath).
-type V256 [4]uint64
-
-// V512 is the oct-word plane: 512 lanes (the AVX-512-width datapath).
-type V512 [8]uint64
-
-// Vec is the constraint satisfied by the supported plane widths.
+// Vec is the constraint satisfied by the plane type: V64 only.
 type Vec interface {
-	V64 | V256 | V512
+	V64
 }
 
 // VecWords returns K, the number of uint64 words in V.

@@ -5,13 +5,6 @@ import (
 	"testing"
 )
 
-// runWidths runs a generic subtest at every supported vector width.
-func runWidths(t *testing.T, name string, f64, f256, f512 func(t *testing.T)) {
-	t.Run(name+"/64", f64)
-	t.Run(name+"/256", f256)
-	t.Run(name+"/512", f512)
-}
-
 func testVecWidths[V Vec](t *testing.T) {
 	var v V
 	if got := VecWords[V](); got != len(v) {
@@ -23,7 +16,7 @@ func testVecWidths[V Vec](t *testing.T) {
 }
 
 func TestVecWidths(t *testing.T) {
-	runWidths(t, "widths", testVecWidths[V64], testVecWidths[V256], testVecWidths[V512])
+	t.Run("widths/64", testVecWidths[V64])
 }
 
 func testBroadcastVec[V Vec](t *testing.T) {
@@ -40,7 +33,7 @@ func testBroadcastVec[V Vec](t *testing.T) {
 }
 
 func TestBroadcastVec(t *testing.T) {
-	runWidths(t, "broadcast", testBroadcastVec[V64], testBroadcastVec[V256], testBroadcastVec[V512])
+	t.Run("broadcast/64", testBroadcastVec[V64])
 }
 
 func testLaneBitsVec[V Vec](t *testing.T) {
@@ -71,7 +64,7 @@ func testLaneBitsVec[V Vec](t *testing.T) {
 }
 
 func TestLaneBitsVec(t *testing.T) {
-	runWidths(t, "lanebits", testLaneBitsVec[V64], testLaneBitsVec[V256], testLaneBitsVec[V512])
+	t.Run("lanebits/64", testLaneBitsVec[V64])
 }
 
 func testPackBitsVecRoundTrip[V Vec](t *testing.T) {
@@ -96,8 +89,7 @@ func testPackBitsVecRoundTrip[V Vec](t *testing.T) {
 }
 
 func TestPackBitsVecRoundTrip(t *testing.T) {
-	runWidths(t, "packbits",
-		testPackBitsVecRoundTrip[V64], testPackBitsVecRoundTrip[V256], testPackBitsVecRoundTrip[V512])
+	t.Run("packbits/64", testPackBitsVecRoundTrip[V64])
 }
 
 func testPackWordsVecRoundTrip[V Vec](t *testing.T) {
@@ -128,8 +120,7 @@ func testPackWordsVecRoundTrip[V Vec](t *testing.T) {
 }
 
 func TestPackWordsVecRoundTrip(t *testing.T) {
-	runWidths(t, "packwords",
-		testPackWordsVecRoundTrip[V64], testPackWordsVecRoundTrip[V256], testPackWordsVecRoundTrip[V512])
+	t.Run("packwords/64", testPackWordsVecRoundTrip[V64])
 }
 
 func testTransposeVecInvolution[V Vec](t *testing.T) {
@@ -162,8 +153,7 @@ func testTransposeVecInvolution[V Vec](t *testing.T) {
 }
 
 func TestTransposeVecInvolution(t *testing.T) {
-	runWidths(t, "transpose",
-		testTransposeVecInvolution[V64], testTransposeVecInvolution[V256], testTransposeVecInvolution[V512])
+	t.Run("transpose/64", testTransposeVecInvolution[V64])
 }
 
 // The V64 path must agree exactly with the legacy uint64 helpers.

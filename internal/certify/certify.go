@@ -3,13 +3,13 @@
 // pools, the zero-copy staging datapath and the live health-reseed
 // machinery — are (a) byte-identical to the deterministic library
 // stream and (b) statistically sound under the full SP 800-22 battery
-// plus the continuous health checks, for every (algorithm, lane-width)
-// cell of the serving matrix.
+// plus the continuous health checks, for every algorithm of the serving
+// matrix.
 //
 // Two modes share one code path: boot mode constructs a real
-// internal/server instance per lane width and talks to it over a real
-// TCP loopback listener (nothing is stubbed — the HTTP handler, content
-// negotiation and shard checkout all run exactly as in production);
+// internal/server instance and talks to it over a real TCP loopback
+// listener (nothing is stubbed — the HTTP handler, content negotiation
+// and shard checkout all run exactly as in production);
 // dial mode (Config.BaseURL) points the same puller at an
 // already-running bsrngd, producing one cell per algorithm.
 //
@@ -40,18 +40,14 @@ import (
 // defaults.
 type Config struct {
 	// BaseURL, when non-empty, dials an existing bsrngd (e.g.
-	// "http://127.0.0.1:8080") instead of booting servers. Dial mode
-	// produces one cell per algorithm (the remote lane width is the
-	// server's business — the bytes are identical at every width).
+	// "http://127.0.0.1:8080") instead of booting a server. Either mode
+	// produces one cell per algorithm.
 	BaseURL string
 	// Seed is the deterministic base seed; it must match the served
 	// instance's -seed in dial mode for the cross-check to hold.
 	Seed uint64
 	// Algorithms is the cell rows (default core.ServedAlgorithms).
 	Algorithms []core.Algorithm
-	// LaneWidths is the cell columns in boot mode (default
-	// core.SupportedLanes). Ignored in dial mode.
-	LaneWidths []int
 	// Segments is the number of core.SegmentBytes segments pulled per
 	// cell (default 64: 128 KiB, 2^20 bits).
 	Segments int
@@ -82,9 +78,6 @@ type Config struct {
 func (c *Config) defaults() {
 	if c.Algorithms == nil {
 		c.Algorithms = core.ServedAlgorithms
-	}
-	if c.LaneWidths == nil {
-		c.LaneWidths = core.SupportedLanes
 	}
 	if c.Segments == 0 {
 		c.Segments = 64
@@ -136,28 +129,20 @@ func Run(cfg Config) (*Report, error) {
 		BitsPerStream: bitsPerStream,
 		Pass:          true,
 	}
-	if cfg.BaseURL != "" {
-		rep.Mode = "dial"
-		for _, alg := range cfg.Algorithms {
-			cell := certifyCell(&cfg, cfg.BaseURL, alg, 0)
-			rep.add(cell)
-		}
-		return rep, nil
-	}
-	rep.Mode = "boot"
-	for _, lanes := range cfg.LaneWidths {
-		if err := core.ValidateLanes(lanes); err != nil {
-			return nil, fmt.Errorf("certify: %w", err)
-		}
-		baseURL, shutdown, err := bootServer(&cfg, lanes)
+	baseURL := cfg.BaseURL
+	rep.Mode = "dial"
+	if baseURL == "" {
+		rep.Mode = "boot"
+		var shutdown func()
+		var err error
+		baseURL, shutdown, err = bootServer(&cfg)
 		if err != nil {
-			return nil, fmt.Errorf("certify: booting %d-lane server: %w", lanes, err)
+			return nil, fmt.Errorf("certify: booting server: %w", err)
 		}
-		for _, alg := range cfg.Algorithms {
-			cell := certifyCell(&cfg, baseURL, alg, lanes)
-			rep.add(cell)
-		}
-		shutdown()
+		defer shutdown()
+	}
+	for _, alg := range cfg.Algorithms {
+		rep.add(certifyCell(&cfg, baseURL, alg))
 	}
 	return rep, nil
 }
@@ -165,14 +150,13 @@ func Run(cfg Config) (*Report, error) {
 // bootServer stands up a real bsrngd serving stack on a loopback TCP
 // listener: ShardsPerAlg is pinned to 1 so shard 0 serves exactly the
 // canonical core.NewStream byte sequence the cross-check mirrors.
-func bootServer(cfg *Config, lanes int) (baseURL string, shutdown func(), err error) {
+func bootServer(cfg *Config) (baseURL string, shutdown func(), err error) {
 	srv, err := server.New(server.Config{
 		Seed:            cfg.Seed,
 		Algorithms:      cfg.Algorithms,
 		ShardsPerAlg:    1,
 		WorkersPerShard: cfg.Workers,
 		StagingBytes:    cfg.StagingBytes,
-		Lanes:           lanes,
 	})
 	if err != nil {
 		return "", nil, err
@@ -194,7 +178,6 @@ func bootServer(cfg *Config, lanes int) (baseURL string, shutdown func(), err er
 }
 
 // certifyCell pulls one cell's served bytes and runs every check.
-// lanes 0 marks a dial-mode cell of unknown server-side width.
 //
 // The battery follows SP 800-22 §4.2's guidance for marginal results:
 // a proportion or uniformity failure on the first sample is re-examined
@@ -202,9 +185,9 @@ func bootServer(cfg *Config, lanes int) (baseURL string, shutdown func(), err er
 // the same served stream — and only a test that fails both rounds fails
 // the cell. The cross-check and health checks are never retried: a
 // byte-level mismatch is deterministic evidence, not sampling noise.
-func certifyCell(cfg *Config, baseURL string, alg core.Algorithm, lanes int) Cell {
-	cell := Cell{Algorithm: alg.String(), Lanes: lanes, Segments: cfg.Segments}
-	cfg.logf("certify: %s lanes=%d: pulling %d segments", alg, lanes, cfg.Segments)
+func certifyCell(cfg *Config, baseURL string, alg core.Algorithm) Cell {
+	cell := Cell{Algorithm: alg.String(), Segments: cfg.Segments}
+	cfg.logf("certify: %s: pulling %d segments", alg, cfg.Segments)
 	served, err := pullSegments(cfg, baseURL, alg)
 	if err != nil {
 		cell.Error = err.Error()
@@ -233,7 +216,7 @@ func certifyCell(cfg *Config, baseURL string, alg core.Algorithm, lanes int) Cel
 
 	cell.Tests, cell.Skipped = runBattery(cfg, served)
 	if !allPass(cell.Tests) && (!cell.CrossChecked || cell.CrossCheckOK) {
-		cfg.logf("certify: %s lanes=%d: marginal battery result, re-testing on a fresh sample", alg, lanes)
+		cfg.logf("certify: %s: marginal battery result, re-testing on a fresh sample", alg)
 		if retried, err := retryBattery(cfg, baseURL, alg, cell.Tests); err != nil {
 			cell.Error = err.Error()
 			return cell
@@ -246,8 +229,8 @@ func certifyCell(cfg *Config, baseURL string, alg core.Algorithm, lanes int) Cel
 		(!cell.CrossChecked || cell.CrossCheckOK) &&
 		cell.HealthFailures == 0 &&
 		allPass(cell.Tests)
-	cfg.logf("certify: %s lanes=%d: pass=%v (%d tests, %d skipped, %d health failures)",
-		alg, lanes, cell.Pass, len(cell.Tests), len(cell.Skipped), cell.HealthFailures)
+	cfg.logf("certify: %s: pass=%v (%d tests, %d skipped, %d health failures)",
+		alg, cell.Pass, len(cell.Tests), len(cell.Skipped), cell.HealthFailures)
 	return cell
 }
 
@@ -344,9 +327,7 @@ func truncate(b []byte) string {
 
 // crossCheck reproduces the served prefix with the deterministic
 // library stream — same seed, worker layout and staging geometry as the
-// booted shard — and compares byte-for-byte. The mirror runs at the
-// default lane width: served bytes are lane-width independent, so one
-// mirror certifies every lane cell.
+// booted shard — and compares byte-for-byte.
 func crossCheck(cfg *Config, alg core.Algorithm, served []byte) (bool, error) {
 	checker := health.NewChecker(health.Config{})
 	mirror, err := core.NewStream(alg, cfg.Seed, core.StreamConfig{

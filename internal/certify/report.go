@@ -20,12 +20,9 @@ type TestResult struct {
 	Pass    bool `json:"pass"`
 }
 
-// Cell is one (algorithm, lane-width) entry of the certification
-// matrix. Lanes 0 marks a dial-mode cell whose server-side width is not
-// locally known.
+// Cell is one algorithm's entry of the certification matrix.
 type Cell struct {
 	Algorithm      string       `json:"algorithm"`
-	Lanes          int          `json:"lanes,omitempty"`
 	Segments       int          `json:"segments"`
 	Bytes          int          `json:"bytes"`
 	CrossChecked   bool         `json:"cross_checked"`
@@ -76,51 +73,20 @@ func (r *Report) WriteMarkdown(w io.Writer) error {
 	fmt.Fprintf(w, "mode %s, seed %d, %d segments/cell, %d streams × %d bits, α=%.2f\n\n",
 		r.Mode, r.Seed, r.Segments, r.Streams, r.BitsPerStream, r.Alpha)
 
-	// Matrix: one row per algorithm, one column per lane width.
-	lanes := []int{}
-	seenLanes := map[int]bool{}
-	algs := []string{}
-	seenAlgs := map[string]bool{}
-	byKey := map[string]Cell{}
+	// Matrix: one row per algorithm.
+	fmt.Fprintln(w, "| algorithm | result |")
+	fmt.Fprintln(w, "|---|---|")
 	for _, c := range r.Cells {
-		if !seenLanes[c.Lanes] {
-			seenLanes[c.Lanes] = true
-			lanes = append(lanes, c.Lanes)
+		mark := "❌"
+		if c.Pass {
+			mark = "✅"
 		}
-		if !seenAlgs[c.Algorithm] {
-			seenAlgs[c.Algorithm] = true
-			algs = append(algs, c.Algorithm)
-		}
-		byKey[cellKey(c.Algorithm, c.Lanes)] = c
-	}
-	fmt.Fprint(w, "| algorithm |")
-	for _, l := range lanes {
-		fmt.Fprintf(w, " %s |", laneLabel(l))
-	}
-	fmt.Fprint(w, "\n|---|")
-	for range lanes {
-		fmt.Fprint(w, "---|")
-	}
-	fmt.Fprintln(w)
-	for _, a := range algs {
-		fmt.Fprintf(w, "| %s |", a)
-		for _, l := range lanes {
-			c, ok := byKey[cellKey(a, l)]
-			switch {
-			case !ok:
-				fmt.Fprint(w, " — |")
-			case c.Pass:
-				fmt.Fprint(w, " ✅ |")
-			default:
-				fmt.Fprint(w, " ❌ |")
-			}
-		}
-		fmt.Fprintln(w)
+		fmt.Fprintf(w, "| %s | %s |\n", c.Algorithm, mark)
 	}
 	fmt.Fprintln(w)
 
 	for _, c := range r.Cells {
-		fmt.Fprintf(w, "## %s · %s\n\n", c.Algorithm, laneLabel(c.Lanes))
+		fmt.Fprintf(w, "## %s\n\n", c.Algorithm)
 		if c.Error != "" {
 			fmt.Fprintf(w, "**error:** %s\n\n", c.Error)
 			continue
@@ -159,13 +125,4 @@ func (r *Report) WriteMarkdown(w io.Writer) error {
 		fmt.Fprintln(w)
 	}
 	return nil
-}
-
-func cellKey(alg string, lanes int) string { return fmt.Sprintf("%s/%d", alg, lanes) }
-
-func laneLabel(lanes int) string {
-	if lanes == 0 {
-		return "server"
-	}
-	return fmt.Sprintf("%d lanes", lanes)
 }

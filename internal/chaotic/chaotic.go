@@ -17,8 +17,8 @@
 //
 // The repository applies the mode per 2048-byte segment with a
 // per-(lane, segment) x_0 derived from the seed schedule, so segments
-// stay independently addressable and the canonical-stream property —
-// identical bytes at every lane width — is untouched.
+// stay independently addressable and the canonical segment stream is
+// untouched.
 package chaotic
 
 import "encoding/binary"

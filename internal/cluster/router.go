@@ -382,7 +382,7 @@ func (rt *Router) routeKey(r *http.Request, ring *Ring) *Key {
 		k := ring.Key(l.Alg.String(), l.Domain, abs/core.SegmentBytes)
 		return &k
 	}
-	if !(q.Has("segment") || q.Has("domain") || q.Has("off") || q.Has("lanes")) {
+	if !server.IsAddressedStream(q) {
 		return nil // pooled /stream
 	}
 	domain, err := strconv.ParseUint(q.Get("domain"), 10, 64)

@@ -130,9 +130,9 @@ func libWindow(t *testing.T, alg core.Algorithm, seed, domain, off uint64, n int
 
 // The tentpole differential: a routed addressed /stream window is
 // byte-identical to the library stream AND to the same request served
-// directly by every node — at every lane width, including a mid-segment
-// start. Determinism is what makes the router's failover sound, so this
-// is the contract everything else leans on.
+// directly by every node, including a mid-segment start. Determinism is
+// what makes the router's failover sound, so this is the contract
+// everything else leans on.
 func TestRoutedAddressedStreamDifferential(t *testing.T) {
 	const seed = 42
 	https, nodes := bootNodes(t, 3, nodeCfg(seed))
@@ -147,28 +147,25 @@ func TestRoutedAddressedStreamDifferential(t *testing.T) {
 	abs := uint64(seg)*core.SegmentBytes + off
 	want := libWindow(t, core.GRAIN, seed, domain, abs, n)
 
-	for _, lanes := range core.SupportedLanes {
-		q := fmt.Sprintf("/stream?alg=grain&domain=%d&segment=%d&off=%d&lanes=%d&n=%d",
-			domain, seg, off, lanes, n)
-		status, body, hdr := get(t, rts.URL+q)
-		if status != http.StatusOK {
-			t.Fatalf("lanes %d: routed status %d", lanes, status)
+	q := fmt.Sprintf("/stream?alg=grain&domain=%d&segment=%d&off=%d&n=%d", domain, seg, off, n)
+	status, body, hdr := get(t, rts.URL+q)
+	if status != http.StatusOK {
+		t.Fatalf("routed status %d", status)
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatal("routed bytes diverge from library stream")
+	}
+	if hdr.Get("X-Bsrng-Cluster-Node") == "" {
+		t.Error("no cluster node header")
+	}
+	// Every node — owner or not — serves the identical window.
+	for i, ts := range https {
+		st, direct, _ := get(t, ts.URL+q)
+		if st != http.StatusOK {
+			t.Fatalf("node %d: direct status %d", i, st)
 		}
-		if !bytes.Equal(body, want) {
-			t.Fatalf("lanes %d: routed bytes diverge from library stream", lanes)
-		}
-		if hdr.Get("X-Bsrng-Cluster-Node") == "" {
-			t.Errorf("lanes %d: no cluster node header", lanes)
-		}
-		// Every node — owner or not — serves the identical window.
-		for i, ts := range https {
-			st, direct, _ := get(t, ts.URL+q)
-			if st != http.StatusOK {
-				t.Fatalf("lanes %d node %d: direct status %d", lanes, i, st)
-			}
-			if !bytes.Equal(direct, want) {
-				t.Fatalf("lanes %d node %d: direct bytes diverge", lanes, i)
-			}
+		if !bytes.Equal(direct, want) {
+			t.Fatalf("node %d: direct bytes diverge", i)
 		}
 	}
 }
@@ -247,8 +244,7 @@ func createLease(t *testing.T, base string, segments int) leaseDoc {
 }
 
 // Lease issue, resolve, stream and mid-window resume all work through
-// the router, and the reassembled window is the library stream — at
-// every lane width.
+// the router, and the reassembled window is the library stream.
 func TestLeaseRoundTripThroughRouter(t *testing.T) {
 	const seed = 7
 	_, nodes := bootNodes(t, 3, nodeCfg(seed))
@@ -274,16 +270,14 @@ func TestLeaseRoundTripThroughRouter(t *testing.T) {
 
 	want := libWindow(t, core.GRAIN, seed, doc.Domain, doc.StartSegment*core.SegmentBytes, int(doc.Bytes))
 	half := doc.Bytes / 2
-	for _, lanes := range core.SupportedLanes {
-		st1, part1, _ := get(t, fmt.Sprintf("%s%s&n=%d&lanes=%d", rts.URL, doc.StreamPath, half, lanes))
-		st2, part2, _ := get(t, fmt.Sprintf("%s%s&off=%d&lanes=%d", rts.URL, doc.StreamPath, half, lanes))
-		if st1 != http.StatusOK || st2 != http.StatusOK {
-			t.Fatalf("lanes %d: stream statuses %d, %d", lanes, st1, st2)
-		}
-		got := append(append([]byte(nil), part1...), part2...)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("lanes %d: lease window reassembled through router diverges from library", lanes)
-		}
+	st1, part1, _ := get(t, fmt.Sprintf("%s%s&n=%d", rts.URL, doc.StreamPath, half))
+	st2, part2, _ := get(t, fmt.Sprintf("%s%s&off=%d", rts.URL, doc.StreamPath, half))
+	if st1 != http.StatusOK || st2 != http.StatusOK {
+		t.Fatalf("stream statuses %d, %d", st1, st2)
+	}
+	got := append(append([]byte(nil), part1...), part2...)
+	if !bytes.Equal(got, want) {
+		t.Fatal("lease window reassembled through router diverges from library")
 	}
 }
 
@@ -455,6 +449,22 @@ func TestRouterRelaysNodeErrors(t *testing.T) {
 	}
 	if status, _, _ := get(t, rts.URL+"/stream?lease=!!!"); status != http.StatusBadRequest {
 		t.Errorf("bad lease token status %d, want 400", status)
+	}
+	// The removed lanes= parameter is refused by the node, addressed or
+	// pooled, and the router relays that 400 without retrying elsewhere.
+	for _, q := range []string{
+		"/stream?alg=grain&segment=0&lanes=64",
+		"/stream?alg=grain&lanes=256",
+	} {
+		status, body, _ := get(t, rts.URL+q)
+		if status != http.StatusBadRequest || !strings.Contains(string(body), "lanes was removed") {
+			t.Errorf("%s: status %d body %q, want 400 naming the removed parameter", q, status, body)
+		}
+	}
+	for _, name := range []string{"bsrngd_cluster_retries_total", "bsrngd_cluster_failovers_total"} {
+		if got := routerMetric(t, rts.URL, name); got != 0 {
+			t.Errorf("%s = %v after relayed 4xx responses, want 0", name, got)
+		}
 	}
 }
 

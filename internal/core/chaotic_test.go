@@ -37,31 +37,6 @@ func TestParseAlgorithmChaotic(t *testing.T) {
 	}
 }
 
-// The chaotic mode must preserve the canonical-stream property: byte
-// streams identical at every lane width, for both the Generator and the
-// Stream front doors.
-func TestChaoticLaneWidthIndependence(t *testing.T) {
-	alg := Chaotic(GRAIN)
-	const n = 3*SegmentBytes + 100
-	ref := make([]byte, n)
-	g, err := NewGeneratorLanes(alg, 11, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Read(ref)
-	for _, lanes := range []int{256, 512} {
-		g, err := NewGeneratorLanes(alg, 11, lanes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([]byte, n)
-		g.Read(got)
-		if !bytes.Equal(got, ref) {
-			t.Errorf("lanes=%d diverges from 64-lane stream", lanes)
-		}
-	}
-}
-
 // The composition must actually transform the bytes — and do exactly
 // what internal/chaotic.Post specifies: undoing it with the documented
 // x_0 schedule must recover the base engine's segment.
@@ -121,25 +96,23 @@ func TestChaoticStreamsDecorrelated(t *testing.T) {
 	}
 }
 
-// XORGENS is a first-class engine: its generator must be deterministic,
-// lane-width independent, and distinct from every other engine.
+// XORGENS is a first-class engine: its generator must be deterministic
+// and distinct from every other engine.
 func TestXorgensEngineStream(t *testing.T) {
 	ref := make([]byte, 2*SegmentBytes)
-	g, err := NewGeneratorLanes(XORGENS, 3, 64)
+	g, err := NewGenerator(XORGENS, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Read(ref)
-	for _, lanes := range []int{256, 512} {
-		g, err := NewGeneratorLanes(XORGENS, 3, lanes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([]byte, len(ref))
-		g.Read(got)
-		if !bytes.Equal(got, ref) {
-			t.Errorf("xorgens lanes=%d diverges from 64-lane stream", lanes)
-		}
+	again, err := NewGenerator(XORGENS, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(ref))
+	again.Read(got)
+	if !bytes.Equal(got, ref) {
+		t.Error("xorgens stream is not deterministic")
 	}
 	for _, other := range []Algorithm{MICKEY, GRAIN, AESCTR, TRIVIUM} {
 		o, err := NewGenerator(other, 3)

@@ -93,11 +93,11 @@ func TestGeneratorUint64AndWords(t *testing.T) {
 // Each worker domain must produce a distinct stream.
 func TestSeedDomainSeparation(t *testing.T) {
 	for _, alg := range Algorithms {
-		e1, err := newEngine(alg, 5, 1, 0)
+		e1, err := newEngine(alg, 5, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e2, err := newEngine(alg, 5, 2, 0)
+		e2, err := newEngine(alg, 5, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestSegmentMaterialDistinct(t *testing.T) {
 }
 
 // Segment material must depend only on the absolute segment index — the
-// property that makes the canonical stream identical at every lane width.
+// property that makes the canonical stream randomly addressable.
 func TestSegmentMaterialIndexedAbsolutely(t *testing.T) {
 	wide, wideIVs := segmentMaterial(9, 3, 0, 0, 512, 10, 8)
 	for _, l := range []int{0, 1, 63, 64, 255, 256, 511} {
@@ -175,7 +175,7 @@ func TestStreamMatchesSingleWorkerComposition(t *testing.T) {
 	s.Read(got)
 	s.Close()
 
-	eng, _ := newEngine(MICKEY, 9, 1, 0)
+	eng, _ := newEngine(MICKEY, 9, 1)
 	want := make([]byte, 4096)
 	for off := 0; off < len(want); off += eng.blockBytes() {
 		eng.nextBlock(want[off : off+eng.blockBytes()])
@@ -194,6 +194,20 @@ func TestStreamValidation(t *testing.T) {
 	}
 	if _, err := NewStream(Algorithm(99), 1, StreamConfig{Workers: 1}); err == nil {
 		t.Error("unknown algorithm accepted")
+	}
+	// The deprecated Lanes field accepts 0 and DefaultLanes only.
+	for _, lanes := range []int{-1, 1, 32, 63, 65, 128, 256, 512} {
+		if _, err := NewStream(MICKEY, 1, StreamConfig{Workers: 1, Lanes: lanes}); err == nil {
+			t.Errorf("Lanes=%d accepted", lanes)
+		}
+	}
+	for _, lanes := range []int{0, DefaultLanes} {
+		s, err := NewStream(MICKEY, 1, StreamConfig{Workers: 1, Lanes: lanes})
+		if err != nil {
+			t.Errorf("Lanes=%d rejected: %v", lanes, err)
+			continue
+		}
+		s.Close()
 	}
 }
 

@@ -123,32 +123,21 @@ var ServedAlgorithms = []Algorithm{MICKEY, GRAIN, AESCTR, TRIVIUM, XORGENS, Chao
 // SegmentBytes is the unit of the canonical BSRNG byte stream: the stream
 // of one (seed, domain) pair is the concatenation of fixed-size segments,
 // and segment j is keystream from a cipher instance keyed by
-// PRF(seed, domain, j) (see segmentMaterial). A W-lane engine computes W
-// consecutive segments in one lock-step pass — lane width changes how many
-// segments are produced per pass, never their bytes, so every datapath
-// width emits the identical stream.
+// PRF(seed, domain, j) (see segmentMaterial). The 64-lane engine computes
+// 64 consecutive segments in one lock-step pass.
 const SegmentBytes = 2048
 
-// DefaultLanes is the lane width used when a caller does not choose one:
-// the native 64-lane uint64 datapath.
+// DefaultLanes is the engine datapath width: the native 64-lane uint64
+// plane. It is the only width.
 const DefaultLanes = 64
 
-// SupportedLanes lists the valid engine lane widths: 64 (uint64 planes),
-// 256 (quad-word planes) and 512 (oct-word planes).
-var SupportedLanes = []int{64, 256, 512}
-
-// ValidateLanes rejects lane counts outside SupportedLanes (0 selects
-// DefaultLanes and is accepted).
-func ValidateLanes(lanes int) error {
-	if lanes == 0 {
-		return nil
+// checkLanes validates a deprecated Lanes setting: 0 and DefaultLanes
+// are accepted, any other width was removed.
+func checkLanes(lanes int) error {
+	if lanes != 0 && lanes != DefaultLanes {
+		return fmt.Errorf("core: lane width %d is not supported (the only width is %d; leave Lanes at 0)", lanes, DefaultLanes)
 	}
-	for _, n := range SupportedLanes {
-		if lanes == n {
-			return nil
-		}
-	}
-	return fmt.Errorf("core: unsupported lane count %d (want one of %v)", lanes, SupportedLanes)
+	return nil
 }
 
 // engine is one bitsliced generator producing the canonical segment
@@ -171,7 +160,7 @@ type engine interface {
 	reseed()
 }
 
-// segmented drives a wide-lane cipher through the segment stream: one
+// segmented drives a 64-lane cipher through the segment stream: one
 // lock-step pass fills `lanes` segment buffers (lane l = segment base+l),
 // nextBlock hands them out in order, and an exhausted pass rekeys the
 // cipher for the next `lanes` segment indices via the rekey hook.
@@ -307,22 +296,10 @@ func (e *segmented) reseed() {
 	e.filled = true
 }
 
-// newEngine builds a fully-seeded engine for one (seed, domain) pair at
-// the given lane width (0 = DefaultLanes). The emitted byte stream is
-// identical at every supported width.
-func newEngine(alg Algorithm, seed, domain uint64, lanes int) (engine, error) {
-	if lanes == 0 {
-		lanes = DefaultLanes
-	}
-	switch lanes {
-	case 64:
-		return newEngineWidth[bitslice.V64](alg, seed, domain, lanes)
-	case 256:
-		return newEngineWidth[bitslice.V256](alg, seed, domain, lanes)
-	case 512:
-		return newEngineWidth[bitslice.V512](alg, seed, domain, lanes)
-	}
-	return nil, fmt.Errorf("core: unsupported lane count %d (want one of %v)", lanes, SupportedLanes)
+// newEngine builds a fully-seeded 64-lane engine for one (seed, domain)
+// pair.
+func newEngine(alg Algorithm, seed, domain uint64) (engine, error) {
+	return newEngineWidth[bitslice.V64](alg, seed, domain, DefaultLanes)
 }
 
 func newEngineWidth[V bitslice.Vec](alg Algorithm, seed, domain uint64, lanes int) (engine, error) {
@@ -430,42 +407,34 @@ func newCipherWidth[V bitslice.Vec](alg Algorithm, seed, domain uint64, lanes in
 }
 
 // Generator is a deterministic single-engine BSRNG byte stream: one
-// wide-lane bitsliced engine behind an io.Reader. The byte stream depends
-// only on (algorithm, seed), not on the lane width.
+// 64-lane bitsliced engine behind an io.Reader. The byte stream depends
+// only on (algorithm, seed).
 type Generator struct {
-	alg   Algorithm
-	lanes int
-	eng   engine
-	buf   []byte
-	pos   int // unread offset into buf; len(buf) when empty
+	alg Algorithm
+	eng engine
+	buf []byte
+	pos int // unread offset into buf; len(buf) when empty
 }
 
-// NewGenerator builds a seeded generator at the default lane width.
+// NewGenerator builds a seeded generator.
 func NewGenerator(alg Algorithm, seed uint64) (*Generator, error) {
-	return NewGeneratorLanes(alg, seed, DefaultLanes)
-}
-
-// NewGeneratorLanes builds a seeded generator at an explicit lane width
-// (0 = DefaultLanes; see SupportedLanes).
-func NewGeneratorLanes(alg Algorithm, seed uint64, lanes int) (*Generator, error) {
-	if lanes == 0 {
-		lanes = DefaultLanes
-	}
-	eng, err := newEngine(alg, seed, 0, lanes)
+	eng, err := newEngine(alg, seed, 0)
 	if err != nil {
 		return nil, err
 	}
-	g := &Generator{alg: alg, lanes: lanes, eng: eng}
+	return newGenerator(alg, eng), nil
+}
+
+// newGenerator wraps eng with an empty one-block buffer.
+func newGenerator(alg Algorithm, eng engine) *Generator {
+	g := &Generator{alg: alg, eng: eng}
 	g.buf = make([]byte, eng.blockBytes())
 	g.pos = len(g.buf)
-	return g, nil
+	return g
 }
 
 // Algorithm reports which engine backs the generator.
 func (g *Generator) Algorithm() Algorithm { return g.alg }
-
-// Lanes reports the generator's datapath width.
-func (g *Generator) Lanes() int { return g.lanes }
 
 // Read fills p with pseudo-random bytes; it never fails. Whole segments
 // are generated directly into p — only a sub-segment head or tail passes

@@ -186,30 +186,28 @@ func TestHealthHookUnrecoverableBudget(t *testing.T) {
 	}
 }
 
-// Satellite gate: the first 64 segments of every algorithm at every
-// supported lane width must pass the default online health tests, so an
-// engine regression that degrades output quality fails tier-1 fast.
-func TestHealthGateAcrossLaneWidths(t *testing.T) {
+// Satellite gate: the first 64 segments of every algorithm must pass the
+// default online health tests, so an engine regression that degrades
+// output quality fails tier-1 fast.
+func TestHealthGateAllAlgorithms(t *testing.T) {
 	const segments = 64
 	for _, alg := range Algorithms {
-		for _, lanes := range SupportedLanes {
-			checker := health.NewChecker(health.Config{})
-			g, err := NewGeneratorLanes(alg, 1234, lanes)
-			if err != nil {
-				t.Fatalf("%v lanes=%d: %v", alg, lanes, err)
+		checker := health.NewChecker(health.Config{})
+		g, err := NewGenerator(alg, 1234)
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		seg := make([]byte, SegmentBytes)
+		for i := 0; i < segments; i++ {
+			if _, err := g.Read(seg); err != nil {
+				t.Fatalf("%v: %v", alg, err)
 			}
-			seg := make([]byte, SegmentBytes)
-			for i := 0; i < segments; i++ {
-				if _, err := g.Read(seg); err != nil {
-					t.Fatalf("%v lanes=%d: %v", alg, lanes, err)
-				}
-				if err := checker.Check(seg); err != nil {
-					t.Errorf("%v lanes=%d segment %d: %v", alg, lanes, i, err)
-				}
+			if err := checker.Check(seg); err != nil {
+				t.Errorf("%v segment %d: %v", alg, i, err)
 			}
-			if st := checker.Stats(); st.Segments != segments || st.Total() != 0 {
-				t.Errorf("%v lanes=%d: checker stats %+v", alg, lanes, st)
-			}
+		}
+		if st := checker.Stats(); st.Segments != segments || st.Total() != 0 {
+			t.Errorf("%v: checker stats %+v", alg, st)
 		}
 	}
 }

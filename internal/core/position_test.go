@@ -9,8 +9,7 @@ import (
 
 // A SegmentReader at byte offset K must continue the canonical
 // (seed, domain) stream exactly where a from-the-start reader left off,
-// at every lane width and for offsets landing on and inside segment
-// boundaries.
+// for offsets landing on and inside segment boundaries.
 func TestSegmentReaderMatchesGenerator(t *testing.T) {
 	const seed = 99
 	offsets := []uint64{
@@ -28,19 +27,17 @@ func TestSegmentReaderMatchesGenerator(t *testing.T) {
 		if _, err := io.ReadFull(ref, prefix); err != nil {
 			t.Fatal(err)
 		}
-		for _, lanes := range SupportedLanes {
-			for _, off := range offsets {
-				r, err := NewSegmentReader(alg, seed, 0, lanes, off)
-				if err != nil {
-					t.Fatalf("%v lanes=%d off=%d: %v", alg, lanes, off, err)
-				}
-				got := make([]byte, window)
-				if _, err := io.ReadFull(r, got); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, prefix[off:int(off)+window]) {
-					t.Fatalf("%v lanes=%d: bytes at offset %d diverge from the canonical stream", alg, lanes, off)
-				}
+		for _, off := range offsets {
+			r, err := NewSegmentReader(alg, seed, 0, 0, off)
+			if err != nil {
+				t.Fatalf("%v off=%d: %v", alg, off, err)
+			}
+			got := make([]byte, window)
+			if _, err := io.ReadFull(r, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, prefix[off:int(off)+window]) {
+				t.Fatalf("%v: bytes at offset %d diverge from the canonical stream", alg, off)
 			}
 		}
 	}
@@ -77,34 +74,20 @@ func TestSegmentReaderMatchesStreamWorkerDomain(t *testing.T) {
 
 // Positioning far into the stream must be self-consistent without
 // generating the prefix: a reader at offset K and a reader at K-delta
-// (after discarding delta bytes) agree, and every lane width lands on
-// the same bytes.
+// (after discarding delta bytes) agree.
 func TestSegmentReaderFarSeekConsistency(t *testing.T) {
 	const seed = 1234
 	const far = uint64(1<<20)*SegmentBytes + 777 // ~2 GiB in, mid-segment
 	want := make([]byte, SegmentBytes)
-	r64, err := NewSegmentReader(TRIVIUM, seed, 3, 64, far)
+	r, err := NewSegmentReader(TRIVIUM, seed, 3, 0, far)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := io.ReadFull(r64, want); err != nil {
+	if _, err := io.ReadFull(r, want); err != nil {
 		t.Fatal(err)
 	}
-	for _, lanes := range []int{256, 512} {
-		r, err := NewSegmentReader(TRIVIUM, seed, 3, lanes, far)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([]byte, SegmentBytes)
-		if _, err := io.ReadFull(r, got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("lanes=%d far seek diverges from lanes=64", lanes)
-		}
-	}
 	const delta = 300
-	rb, err := NewSegmentReader(TRIVIUM, seed, 3, 64, far-delta)
+	rb, err := NewSegmentReader(TRIVIUM, seed, 3, 0, far-delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +109,14 @@ func TestSegmentReaderOffsetOutOfRange(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("unexpected error: %v", err)
 	}
-	if _, err := NewSegmentReader(MICKEY, 1, 0, 63, 0); err == nil {
-		t.Fatal("invalid lane width accepted")
+	// The deprecated lanes parameter accepts 0 and DefaultLanes only.
+	for _, lanes := range []int{63, 256, 512} {
+		if _, err := NewSegmentReader(MICKEY, 1, 0, lanes, 0); err == nil {
+			t.Fatalf("lane width %d accepted", lanes)
+		}
+	}
+	if _, err := NewSegmentReader(MICKEY, 1, 0, DefaultLanes, 0); err != nil {
+		t.Fatalf("lane width %d rejected: %v", DefaultLanes, err)
 	}
 }
 

@@ -87,17 +87,18 @@ func (s *Stream) Stats() StreamStats {
 }
 
 // StreamConfig tunes the Stream; zero values select defaults
-// (runtime.NumCPU() workers, 64 KiB staging chunks, DefaultLanes-wide
-// engines).
+// (runtime.NumCPU() workers, 64 KiB staging chunks).
 type StreamConfig struct {
 	Workers int
 	// StagingBytes is the per-worker chunk size. The paper determines the
 	// analogous shared-memory occupancy "by try and error" (§4.5); the
 	// BenchmarkStagingAblation bench sweeps it.
 	StagingBytes int
-	// Lanes is the per-worker engine datapath width; see SupportedLanes.
-	// The stream's bytes are identical at every width — Lanes only trades
-	// memory and per-pass batch size for instruction-level parallelism.
+	// Lanes is the engine datapath width. Only 0 and DefaultLanes are
+	// accepted; NewStream rejects any other value.
+	//
+	// Deprecated: every engine is 64 lanes wide. The field remains only
+	// so existing callers compile; leave it at 0.
 	Lanes int
 	// Health, when non-nil, is a continuous online health test run
 	// against every SegmentBytes-sized segment at production time, from
@@ -138,7 +139,7 @@ func NewStream(alg Algorithm, seed uint64, cfg StreamConfig) (*Stream, error) {
 	if cfg.StagingBytes < 512 {
 		return nil, fmt.Errorf("core: staging buffer must be ≥ 512 bytes")
 	}
-	if err := ValidateLanes(cfg.Lanes); err != nil {
+	if err := checkLanes(cfg.Lanes); err != nil {
 		return nil, err
 	}
 
@@ -153,7 +154,7 @@ func NewStream(alg Algorithm, seed uint64, cfg StreamConfig) (*Stream, error) {
 	}
 	engines := make([]engine, cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
-		eng, err := newEngine(alg, seed, uint64(w)+1, cfg.Lanes)
+		eng, err := newEngine(alg, seed, uint64(w)+1)
 		if err != nil {
 			return nil, err
 		}
@@ -380,25 +381,19 @@ func (s *Stream) Close() {
 func (s *Stream) Workers() int { return s.workers }
 
 // Fill generates len(dst) bytes using all workers in one parallel
-// one-shot at the default lane width; see FillLanes.
-func Fill(alg Algorithm, seed uint64, workers int, dst []byte) error {
-	return FillLanes(alg, seed, workers, DefaultLanes, dst)
-}
-
-// FillLanes generates len(dst) bytes using all workers in one parallel
 // one-shot: dst is split into contiguous per-worker regions (the
 // "coalesced write" layout of §4.5) that are filled concurrently. The
 // output is deterministic for a given (algorithm, seed, workers) and
-// independent of StagingBytes and of the lane width.
-func FillLanes(alg Algorithm, seed uint64, workers, lanes int, dst []byte) error {
+// independent of StagingBytes.
+func Fill(alg Algorithm, seed uint64, workers int, dst []byte) error {
 	if workers < 1 {
 		workers = runtime.NumCPU()
 	}
 	if len(dst) == 0 {
-		return ValidateLanes(lanes)
+		return nil
 	}
 	// Regions are whole multiples of the engine block size except the last.
-	probe, err := newEngine(alg, seed, 1, lanes)
+	probe, err := newEngine(alg, seed, 1)
 	if err != nil {
 		return err
 	}
@@ -429,7 +424,7 @@ func FillLanes(alg Algorithm, seed uint64, workers, lanes int, dst []byte) error
 			if w == 0 {
 				eng = probe
 			} else {
-				eng, err = newEngine(alg, seed, uint64(w)+1, lanes)
+				eng, err = newEngine(alg, seed, uint64(w)+1)
 			}
 			if err != nil {
 				mu.Lock()

@@ -15,11 +15,10 @@ import (
 // rebases the buffers.
 const window = 64
 
-// SlicedVec is the bitsliced Grain v1 engine over the plane width V: one
-// V-plane per register bit, 64·K independent cipher instances per plane,
-// all register shifts replaced by index renaming. Every lane-wise
-// operation applies independently to each of V's K words, so the wide
-// engine is K lock-stepped 64-lane engines under one control flow.
+// SlicedVec is the bitsliced Grain v1 engine over the plane type V
+// (bitslice.V64, one machine word): one V-plane per register bit, 64
+// independent cipher instances per plane, all register shifts replaced
+// by index renaming.
 type SlicedVec[V bitslice.Vec] struct {
 	s, b  []V // plane buffers of length regBits+window
 	pos   int // window origin: state bit i of the current clock is s[pos+i]

@@ -8,11 +8,10 @@ import (
 )
 
 // SlicedVec is the bitsliced MICKEY 2.0 engine of paper §4.4 (Fig. 9),
-// generalized over the plane width V: the two 100-bit registers become 200
-// V-planes (plane i, lane L = state bit i of lane L), so one ClockVec
-// advances 64·K independent cipher instances and emits as many keystream
-// bits. V64 planes give the native 64-lane engine; V256/V512 widen the
-// datapath to 256/512 lanes — the CPU analogue of widening a GPU warp.
+// over the plane type V (bitslice.V64, one machine word): the two 100-bit
+// registers become 200 V-planes (plane i, lane L = state bit i of lane
+// L), so one ClockVec advances 64 independent cipher instances and emits
+// as many keystream bits.
 //
 // Everything data-dependent in the spec becomes branch-free here:
 //
@@ -22,10 +21,6 @@ import (
 //     planes at construction time,
 //   - the register shift is realized by ping-pong buffer swapping — the
 //     paper's "register reference swapping" — rather than bit shifts.
-//
-// Every lane-wise operation applies independently to each of V's K words,
-// so the wide engine is K lock-stepped 64-lane engines sharing one control
-// flow — one instruction stream, K× the lanes.
 type SlicedVec[V bitslice.Vec] struct {
 	// Fixed-size register arrays (not slices): every clockKG index is
 	// provably in range, so the hot loop runs without bounds checks.

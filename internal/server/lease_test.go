@@ -115,10 +115,11 @@ func TestLeaseAPI(t *testing.T) {
 }
 
 // Satellite differential: a lease window served over /stream survives a
-// daemon restart and is byte-identical at lanes 64/256/512 — to itself,
-// to the library SegmentReader, and when resumed mid-segment — because
-// the token addresses the deterministic (seed, domain, segment) space,
-// not server state.
+// daemon restart and is byte-identical — to itself, to the library
+// SegmentReader, and when resumed mid-segment — because the token
+// addresses the deterministic (seed, domain, segment) space, not server
+// state. The restarted daemon runs with the deprecated Lanes field both
+// unset and at the one width it still accepts.
 func TestLeaseStreamRestartAndLanesDifferential(t *testing.T) {
 	const seed = 77
 	boot := func(lanes int) (*httptest.Server, func()) {
@@ -171,35 +172,34 @@ func TestLeaseStreamRestartAndLanesDifferential(t *testing.T) {
 		t.Fatal("lease window diverges from core.NewSegmentReader")
 	}
 
-	for _, lanes := range core.SupportedLanes {
+	for _, lanes := range []int{0, core.DefaultLanes} {
 		tsB, closeB := boot(lanes)
 		if status, _, _ := get(t, tsB.URL+"/lease/"+doc.ID); status != http.StatusOK {
-			t.Fatalf("lanes=%d: lease token did not survive the restart", lanes)
+			t.Fatalf("Lanes=%d: lease token did not survive the restart", lanes)
 		}
-		status, got, _ := get(t, fmt.Sprintf("%s%s&lanes=%d", tsB.URL, doc.StreamPath, lanes))
+		status, got, _ := get(t, tsB.URL+doc.StreamPath)
 		if status != http.StatusOK || !bytes.Equal(got, full) {
-			t.Fatalf("lanes=%d: restarted window (status %d) not byte-identical", lanes, status)
+			t.Fatalf("Lanes=%d: restarted window (status %d) not byte-identical", lanes, status)
 		}
 
 		// Resume mid-segment after a simulated disconnect: off is absolute
 		// into the lease window, landing inside segment 1.
 		const off = core.SegmentBytes + 777
-		status, tail, hdr := get(t,
-			fmt.Sprintf("%s%s&off=%d&lanes=%d", tsB.URL, doc.StreamPath, off, lanes))
+		status, tail, hdr := get(t, fmt.Sprintf("%s%s&off=%d", tsB.URL, doc.StreamPath, off))
 		if status != http.StatusOK {
-			t.Fatalf("lanes=%d: resume status %d", lanes, status)
+			t.Fatalf("Lanes=%d: resume status %d", lanes, status)
 		}
 		if hdr.Get("X-Bsrng-Mode") != "lease" {
 			t.Errorf("resume mode header %q", hdr.Get("X-Bsrng-Mode"))
 		}
 		if !bytes.Equal(tail, full[off:]) {
-			t.Fatalf("lanes=%d: resume from offset %d diverges from the original window", lanes, off)
+			t.Fatalf("Lanes=%d: resume from offset %d diverges from the original window", lanes, off)
 		}
 		// An n past the remaining window clamps to it (resume semantics).
 		status, clamped, _ := get(t,
-			fmt.Sprintf("%s%s&off=%d&n=%d&lanes=%d", tsB.URL, doc.StreamPath, off, doc.Bytes, lanes))
+			fmt.Sprintf("%s%s&off=%d&n=%d", tsB.URL, doc.StreamPath, off, doc.Bytes))
 		if status != http.StatusOK || len(clamped) != int(doc.Bytes)-off {
-			t.Fatalf("lanes=%d: clamped resume served %d bytes, want %d",
+			t.Fatalf("Lanes=%d: clamped resume served %d bytes, want %d",
 				lanes, len(clamped), int(doc.Bytes)-off)
 		}
 		closeB()

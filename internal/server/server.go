@@ -19,8 +19,8 @@
 //	GET /stream?alg=&n=                   — chunked streaming delivery,
 //	                                        flushed per chunk; addressed
 //	                                        mode via segment=/domain=/
-//	                                        off=/lanes=, resumable lease
-//	                                        mode via lease=&off=
+//	                                        off=, resumable lease mode
+//	                                        via lease=&off=
 //	POST /lease?alg=&segments=            — issue a segment lease (a
 //	                                        stateless token over the
 //	                                        deterministic address space)
@@ -66,9 +66,12 @@ type Config struct {
 	WorkersPerShard int
 	// StagingBytes is the per-worker chunk size (default 64 KiB).
 	StagingBytes int
-	// Lanes is the engine datapath width for every shard stream (default
-	// core.DefaultLanes; see core.SupportedLanes). The served bytes are
-	// identical at every width.
+	// Lanes is the engine datapath width. Only 0 and core.DefaultLanes
+	// are accepted; New returns core.NewStream's error for any other
+	// value.
+	//
+	// Deprecated: every engine is 64 lanes wide. The field remains only
+	// so existing callers compile; leave it at 0.
 	Lanes int
 	// MaxRequestBytes caps n on /bytes (default 16 MiB).
 	MaxRequestBytes int64

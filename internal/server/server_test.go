@@ -296,20 +296,57 @@ func TestCheckoutTimeout(t *testing.T) {
 	close(release)
 }
 
+// An invalid Config is rejected at construction, not at the first
+// request.
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{Algorithms: []core.Algorithm{}}); err == nil {
-		t.Error("empty algorithm list accepted")
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"empty algorithm list", Config{Algorithms: []core.Algorithm{}}},
+		{"negative shards", Config{ShardsPerAlg: -1}},
+		{"duplicate algorithm", Config{Algorithms: []core.Algorithm{core.GRAIN, core.GRAIN},
+			ShardsPerAlg: 1, WorkersPerShard: 1}},
+		{"unknown algorithm", Config{Algorithms: []core.Algorithm{core.Algorithm(99)},
+			ShardsPerAlg: 1, WorkersPerShard: 1}},
+		// The deprecated Lanes field accepts only 0 and core.DefaultLanes.
+		{"lanes -1", Config{ShardsPerAlg: 1, WorkersPerShard: 1, Lanes: -1}},
+		{"lanes 63", Config{ShardsPerAlg: 1, WorkersPerShard: 1, Lanes: 63}},
+		{"lanes 256", Config{ShardsPerAlg: 1, WorkersPerShard: 1, Lanes: 256}},
+		{"lanes 512", Config{ShardsPerAlg: 1, WorkersPerShard: 1, Lanes: 512}},
 	}
-	if _, err := New(Config{ShardsPerAlg: -1}); err == nil {
-		t.Error("negative shards accepted")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := New(tc.cfg); err == nil {
+				t.Errorf("%+v accepted", tc.cfg)
+			}
+		})
 	}
-	if _, err := New(Config{Algorithms: []core.Algorithm{core.GRAIN, core.GRAIN},
-		ShardsPerAlg: 1, WorkersPerShard: 1}); err == nil {
-		t.Error("duplicate algorithm accepted")
+}
+
+// The 400 response for an unknown algorithm must name the valid set so
+// a client can self-correct, and parsing must be case-insensitive.
+func TestBadAlgorithmResponseListsValidSet(t *testing.T) {
+	cfg := Config{Seed: 1, ShardsPerAlg: 1, WorkersPerShard: 1, StagingBytes: 1024}
+	_, ts := newTestServer(t, cfg)
+
+	status, body, _ := get(t, ts.URL+"/bytes?alg=rot13&n=16")
+	if status != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", status)
 	}
-	if _, err := New(Config{Algorithms: []core.Algorithm{core.Algorithm(99)},
-		ShardsPerAlg: 1, WorkersPerShard: 1}); err == nil {
-		t.Error("unknown algorithm accepted")
+	for _, name := range core.AlgorithmNames {
+		if !strings.Contains(string(body), name) {
+			t.Errorf("400 body %q does not mention %q", body, name)
+		}
+	}
+
+	// Case-insensitive algorithm names serve normally.
+	status, _, hdr := get(t, ts.URL+"/bytes?alg=MICKEY&n=16")
+	if status != http.StatusOK {
+		t.Errorf("uppercase alg status %d, want 200", status)
+	}
+	if got := hdr.Get("X-Bsrng-Algorithm"); got != "mickey" {
+		t.Errorf("algorithm header %q, want mickey", got)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -22,12 +23,11 @@ import (
 //     shard's continuation via the zero-copy Stream.WriteTo path. The
 //     bytes are whatever the shared shard stream serves next.
 //
-//   - addressed (any of segment=, domain=, off=, lanes= present): the
-//     request names a window of the deterministic (seed, domain,
-//     segment) address space and is served by a per-request
-//     core.SegmentReader — no shard is held, the response is
-//     byte-reproducible by anyone holding the seed, and lanes= selects
-//     the datapath width (the bytes are identical at every width).
+//   - addressed (any of segment=, domain=, off= present): the request
+//     names a window of the deterministic (seed, domain, segment)
+//     address space and is served by a per-request core.SegmentReader —
+//     no shard is held and the response is byte-reproducible by anyone
+//     holding the seed.
 //
 //   - lease (lease=<id>): like addressed, but the window comes from a
 //     lease token issued by POST /lease; off= resumes mid-window after
@@ -54,7 +54,14 @@ type streamParams struct {
 	domain uint64
 	offset uint64 // absolute byte offset into (seed, domain); addressed modes only
 	n      int64
-	lanes  int
+}
+
+// IsAddressedStream reports whether a /stream query names a window of
+// the deterministic address space (lease=, segment=, domain= or off=)
+// rather than asking for pooled bytes. It is the one definition of the
+// rule: the cluster router ring-routes exactly these requests.
+func IsAddressedStream(q url.Values) bool {
+	return q.Get("lease") != "" || q.Has("segment") || q.Has("domain") || q.Has("off")
 }
 
 // parseStream validates the request into streamParams. It returns a
@@ -66,12 +73,16 @@ func (s *Server) parseStream(r *http.Request) (streamParams, *httpError) {
 	if v := q.Get("hex"); v != "" && v != "0" && v != "false" {
 		return p, &httpError{http.StatusBadRequest, "hex is not supported on /stream; use /bytes"}
 	}
+	if q.Has("lanes") {
+		return p, &httpError{http.StatusBadRequest,
+			"lanes was removed: every stream is served by the one 64-lane datapath; drop the parameter"}
+	}
 
 	var (
 		window   int64 = -1 // lease byte budget left from the offset; -1 = unbounded
 		leaseTok       = q.Get("lease")
 	)
-	addressed := leaseTok != "" || q.Has("segment") || q.Has("domain") || q.Has("off") || q.Has("lanes")
+	addressed := IsAddressedStream(q)
 
 	var off uint64
 	if v := q.Get("off"); v != "" {
@@ -127,21 +138,6 @@ func (s *Server) parseStream(r *http.Request) (streamParams, *httpError) {
 		} else if off != 0 {
 			return p, &httpError{http.StatusBadRequest, "off requires segment=, domain= or lease="}
 		}
-	}
-
-	if p.mode != "pooled" {
-		if v := q.Get("lanes"); v != "" {
-			lanes, err := strconv.Atoi(v)
-			if err != nil || core.ValidateLanes(lanes) != nil {
-				return p, &httpError{http.StatusBadRequest,
-					fmt.Sprintf("lanes must be one of %v", core.SupportedLanes)}
-			}
-			p.lanes = lanes
-		}
-	} else if q.Has("lanes") {
-		// Unreachable (lanes makes a request addressed) but kept as a guard
-		// for future routing changes.
-		return p, &httpError{http.StatusBadRequest, "lanes is only valid on addressed streams"}
 	}
 
 	// n defaults to the remaining lease window, else to the per-request
@@ -304,7 +300,7 @@ func (s *Server) servePooledStream(w http.ResponseWriter, r *http.Request, p str
 // zero-copy engine path), so the steady state allocates nothing per
 // chunk. A non-nil *httpError means nothing was written.
 func (s *Server) serveAddressedStream(w http.ResponseWriter, r *http.Request, p streamParams) (int64, *httpError) {
-	src, err := core.NewSegmentReader(p.alg, s.cfg.Seed, p.domain, p.lanes, p.offset)
+	src, err := core.NewSegmentReader(p.alg, s.cfg.Seed, p.domain, 0, p.offset)
 	if err != nil {
 		return 0, &httpError{http.StatusBadRequest, err.Error()}
 	}

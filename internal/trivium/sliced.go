@@ -18,13 +18,12 @@ const (
 	lenC = 111
 )
 
-// SlicedVec is the bitsliced Trivium engine over the plane width V: one
-// V-plane per state bit, 64·K independent cipher instances per plane.
+// SlicedVec is the bitsliced Trivium engine over the plane type V
+// (bitslice.V64, one machine word): one V-plane per state bit, 64
+// independent cipher instances per plane.
 // Each plane buffer is an age-ordered append log — plane buf[pos-j] holds
 // the register's bit s_j — so the per-clock rotation is a single append
-// and the paper's shift elimination applies unchanged. Every lane-wise
-// operation applies independently to each of V's K words, so the wide
-// engine is K lock-stepped 64-lane engines under one control flow.
+// and the paper's shift elimination applies unchanged.
 type SlicedVec[V bitslice.Vec] struct {
 	a, b, c []V
 	pos     int

@@ -7,16 +7,17 @@ import (
 	"repro/internal/bitslice"
 )
 
-// SlicedVec is the bitsliced xorgens engine over the plane width V: one
-// V-plane per state bit, 64·K independent generator instances per
-// plane. The r-word ring lives as r×64 planes — plane w·64+n is bit n
-// of ring word w — and the word recurrence becomes pure plane XOR
-// circuitry: a left word shift by a maps plane n to plane n−a, so
-// t ^= t<<a is 64−a in-place plane XORs at a fixed offset, with no
-// per-bit extraction anywhere. One step advances every lane by a whole
-// 64-bit output word (64 planes), which one TransposeVec turns into 8
-// little-endian keystream bytes per lane — 64× fewer clock iterations
-// per output byte than the bit-serial cipher engines need.
+// SlicedVec is the bitsliced xorgens engine over the plane type V
+// (bitslice.V64, one machine word): one V-plane per state bit, 64
+// independent generator instances per plane. The r-word ring lives as
+// r×64 planes — plane w·64+n is bit n of ring word w — and the word
+// recurrence becomes pure plane XOR circuitry: a left word shift by a
+// maps plane n to plane n−a, so t ^= t<<a is 64−a in-place plane XORs at
+// a fixed offset, with no per-bit extraction anywhere. One step advances
+// every lane by a whole 64-bit output word (64 planes), which one
+// TransposeVec turns into 8 little-endian keystream bytes per lane — 64×
+// fewer clock iterations per output byte than the bit-serial cipher
+// engines need.
 type SlicedVec[V bitslice.Vec] struct {
 	x     []V // r*64 planes: plane w*64+n = bit n of ring word w
 	i     int // ring slot of the most recently produced word

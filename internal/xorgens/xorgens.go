@@ -22,7 +22,7 @@
 // is the degenerate-seed weakness the Weyl step defends against. The
 // offline known-answer caveat of DESIGN.md §2 applies: the binding
 // contract is the scalar reference below, which the differential suite
-// holds the bitsliced engine to at every lane width.
+// holds the bitsliced engine to on every lane.
 //
 // Keying: KeySize+IVSize bytes are folded into a 64-bit digest,
 // expanded to the 4096-bit state with a splitmix64-style sequence, and

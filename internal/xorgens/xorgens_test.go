@@ -96,7 +96,7 @@ func TestRefKeystreamAlignment(t *testing.T) {
 }
 
 // Golden keystream: pins the scalar reference (and with it, through the
-// differential suite, every lane width) to fixed bytes, so an
+// differential suite, every lane) to fixed bytes, so an
 // accidental recurrence or expansion change cannot land silently.
 func TestRefGolden(t *testing.T) {
 	key := make([]byte, KeySize)
