@@ -195,19 +195,31 @@ func TestStreamValidation(t *testing.T) {
 	if _, err := NewStream(Algorithm(99), 1, StreamConfig{Workers: 1}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
-	// The deprecated Lanes field accepts 0 and DefaultLanes only.
-	for _, lanes := range []int{-1, 1, 32, 63, 65, 128, 256, 512} {
-		if _, err := NewStream(MICKEY, 1, StreamConfig{Workers: 1, Lanes: lanes}); err == nil {
-			t.Errorf("Lanes=%d accepted", lanes)
-		}
+}
+
+// The deprecated lane settings, StreamConfig.Lanes and NewSegmentReader's
+// lanes, accept 0 and DefaultLanes only.
+func TestLanesValidation(t *testing.T) {
+	cases := []struct {
+		lanes int
+		ok    bool
+	}{
+		{0, true}, {DefaultLanes, true},
+		{-1, false}, {1, false}, {32, false}, {63, false}, {65, false},
+		{128, false}, {256, false}, {512, false}, {1024, false},
 	}
-	for _, lanes := range []int{0, DefaultLanes} {
-		s, err := NewStream(MICKEY, 1, StreamConfig{Workers: 1, Lanes: lanes})
-		if err != nil {
-			t.Errorf("Lanes=%d rejected: %v", lanes, err)
-			continue
+	for _, tc := range cases {
+		s, err := NewStream(MICKEY, 1, StreamConfig{Workers: 1, Lanes: tc.lanes})
+		if (err == nil) != tc.ok {
+			t.Errorf("NewStream lanes=%d: err=%v, want ok=%v", tc.lanes, err, tc.ok)
 		}
-		s.Close()
+		if err == nil {
+			s.Close()
+		}
+		_, err = NewSegmentReader(MICKEY, 1, 0, tc.lanes, 0)
+		if (err == nil) != tc.ok {
+			t.Errorf("NewSegmentReader lanes=%d: err=%v, want ok=%v", tc.lanes, err, tc.ok)
+		}
 	}
 }
 
